@@ -50,8 +50,8 @@ void Run() {
         std::vector<std::string> row{std::to_string(qsize)};
         for (const Method method : kAllMethods) {
           auto agg =
-              RunQueryBatch(*systems[static_cast<int>(method)], *graph,
-                            qsize, queries, /*seed=*/qsize * 31);
+              RunQueryWorkload(*systems[static_cast<int>(method)], *graph,
+                               qsize, queries, /*seed=*/qsize * 31);
           if (!agg.ok()) {
             std::cerr << agg.status() << "\n";
             return;
@@ -79,8 +79,8 @@ void Run() {
             std::cerr << system.status() << "\n";
             return;
           }
-          auto agg = RunQueryBatch(*system, *graph, 6, queries,
-                                   /*seed=*/k * 131);
+          auto agg = RunQueryWorkload(*system, *graph, 6, queries,
+                                      /*seed=*/k * 131);
           if (!agg.ok()) {
             std::cerr << agg.status() << "\n";
             return;

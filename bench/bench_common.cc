@@ -67,10 +67,10 @@ void DumpMetricsJson(const std::string& stem) {
   }
 }
 
-Result<QueryAggregates> RunQueryBatch(PpsmSystem& system,
-                                      const AttributedGraph& graph,
-                                      size_t query_edges, size_t count,
-                                      uint64_t seed) {
+Result<QueryAggregates> RunQueryWorkload(PpsmSystem& system,
+                                         const AttributedGraph& graph,
+                                         size_t query_edges, size_t count,
+                                         uint64_t seed) {
   QueryAggregates agg;
   Rng rng(seed);
   size_t completed = 0;

@@ -65,10 +65,10 @@ struct QueryAggregates {
 
 /// Extracts `count` random queries with |E(Q)| = `query_edges` from `graph`
 /// and runs them through `system`, averaging the outcome fields.
-Result<QueryAggregates> RunQueryBatch(PpsmSystem& system,
-                                      const AttributedGraph& graph,
-                                      size_t query_edges, size_t count,
-                                      uint64_t seed);
+Result<QueryAggregates> RunQueryWorkload(PpsmSystem& system,
+                                         const AttributedGraph& graph,
+                                         size_t query_edges, size_t count,
+                                         uint64_t seed);
 
 /// All four methods in the paper's presentation order.
 inline const Method kAllMethods[] = {Method::kEff, Method::kRan,

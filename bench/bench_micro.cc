@@ -544,9 +544,6 @@ void JoinBench(benchmark::State& state, uint32_t k, bool eager,
   JoinWorkload& w = JoinWorkload::Get(k);
   JoinOptions options;
   options.eager_expansion = eager;
-  // The seed pipeline always sorted Rin before returning; the shipped
-  // configuration skips that (rows are distinct by construction).
-  options.sorted_output = eager;
   options.num_threads = threads;
   size_t indexed_rows = 0;
   size_t peak_rows = 0;

@@ -145,8 +145,8 @@ void Run() {
           return;
         }
         for (const size_t qsize : qsizes) {
-          auto agg = RunQueryBatch(*system, *graph, qsize, queries,
-                                   /*seed=*/qsize * 7 + k);
+          auto agg = RunQueryWorkload(*system, *graph, qsize, queries,
+                                      /*seed=*/qsize * 7 + k);
           if (!agg.ok()) {
             std::cerr << agg.status() << "\n";
             return;

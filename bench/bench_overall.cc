@@ -39,8 +39,8 @@ void Run() {
           return;
         }
         for (const size_t qsize : qsizes) {
-          auto agg = RunQueryBatch(*system, *graph, qsize, queries,
-                                   /*seed=*/qsize * 3 + k);
+          auto agg = RunQueryWorkload(*system, *graph, qsize, queries,
+                                      /*seed=*/qsize * 3 + k);
           if (!agg.ok()) {
             std::cerr << agg.status() << "\n";
             return;

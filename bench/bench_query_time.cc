@@ -40,8 +40,8 @@ void Run() {
           return;
         }
         for (const size_t qsize : kAllQuerySizes) {
-          auto agg = RunQueryBatch(*system, *graph, qsize, queries,
-                                   /*seed=*/qsize * 1000 + k);
+          auto agg = RunQueryWorkload(*system, *graph, qsize, queries,
+                                      /*seed=*/qsize * 1000 + k);
           if (!agg.ok()) {
             std::cerr << agg.status() << "\n";
             return;

@@ -2,14 +2,13 @@
 #define PPSM_CLOUD_CLUSTER_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "cloud/channel.h"
 #include "cloud/cloud_server.h"
 #include "cloud/messages.h"
-#include "query/query_api.h"
+#include "cloud/pipeline.h"
 #include "util/status.h"
 
 namespace ppsm {
@@ -20,7 +19,7 @@ namespace ppsm {
 /// with exactly the Go edges incident to an owned vertex. Slice-local ids
 /// ascend in global Go-local id, which (a) preserves every owned vertex's
 /// adjacency order and (b) keeps the slice's B1 vertices a prefix — the two
-/// properties the byte-identical merge in CloudCluster::Serve rests on.
+/// properties the byte-identical merge in CloudCluster rests on.
 /// Every shard carries the FULL AVT and the GLOBAL cost-model statistics, so
 /// shard-local candidate verdicts and the coordinator's plan equal the
 /// unsharded ones. Baseline (BAS) packages are rejected: sharding exists for
@@ -28,9 +27,13 @@ namespace ppsm {
 Result<ShardingPlan> BuildShardUploads(const UploadPackage& package,
                                        uint32_t num_shards, uint64_t seed);
 
+/// Seed of the partitioner run that CloudCluster::Host uses to assign B1
+/// vertices to shards (same seed, same assignment).
+inline constexpr uint64_t kShardPartitionSeed = 7;
+
 /// A single-process sharded cloud: S CloudServer shards, each hosting the
-/// partitioner-assigned slice of Go, fronted by a coordinator that plans
-/// globally and merges shard answers. One query runs as a BSP superstep:
+/// partitioner-assigned slice of Go, fronted by a coordinator that runs the
+/// shared CloudPipeline. One query runs as a BSP superstep:
 ///
 ///   plan (coordinator, global)  ->  match (each shard, its owned centers)
 ///   ->  exchange (shards ship un-expanded R(S,Go) rows over simulated
@@ -43,62 +46,50 @@ Result<ShardingPlan> BuildShardUploads(const UploadPackage& package,
 /// Because the exchange ships un-expanded rows, its byte volume is
 /// independent of the privacy parameter k.
 ///
-/// Thread-safety: like CloudServer — immutable after hosting except the
-/// plan cache behind its own mutex; Serve is const and concurrency-safe.
-class CloudCluster : public QueryHandler {
+/// Thread-safety: as CloudPipeline — Serve is const and concurrency-safe.
+class CloudCluster : public CloudPipeline {
  public:
-  ~CloudCluster() override;
-  CloudCluster(CloudCluster&&) noexcept;
-  CloudCluster& operator=(CloudCluster&&) noexcept;
-
   /// Builds the sharding plan from a serialized/in-memory upload and hosts
-  /// every shard (config.num_shards slices, partition_seed-deterministic).
+  /// every shard (num_shards slices, 0 clamps to 1; partitioned with
+  /// kShardPartitionSeed).
   static Result<CloudCluster> Host(std::span<const uint8_t> package_bytes,
-                                   const ClusterConfig& config,
-                                   const ShardConfig& shard_config = {},
+                                   uint32_t num_shards,
+                                   const CloudConfig& config = {},
                                    const ChannelConfig& channel_config = {});
-  static Result<CloudCluster> Host(UploadPackage package,
-                                   const ClusterConfig& config,
-                                   const ShardConfig& shard_config = {},
+  static Result<CloudCluster> Host(UploadPackage package, uint32_t num_shards,
+                                   const CloudConfig& config = {},
                                    const ChannelConfig& channel_config = {});
   /// Hosts pre-built shard uploads (the snapshot-reload path): validates
   /// cross-shard consistency, rebuilds the global id maps and hosts one
   /// CloudServer per slice.
   static Result<CloudCluster> HostShards(
-      std::vector<ShardUpload> shard_uploads, const ClusterConfig& config,
-      const ShardConfig& shard_config = {},
+      std::vector<ShardUpload> shard_uploads, const CloudConfig& config = {},
       const ChannelConfig& channel_config = {});
-
-  /// The one query entry point (QueryHandler). Same contract as
-  /// CloudServer::Serve; stats additionally carry one ShardProfile per
-  /// shard.
-  Result<WireAnswer> Serve(std::span<const uint8_t> qo_bytes,
-                           const QueryContext& ctx = {}) const override;
-  ServiceLimits limits() const override {
-    return {config_.max_inflight, config_.query_deadline_ms};
-  }
 
   uint32_t num_shards() const {
     return static_cast<uint32_t>(shards_.size());
   }
   /// The hosted shard servers (tests; PpsmSystem::cloud() reports shard 0).
   const CloudServer& shard(size_t i) const { return shards_[i]; }
-  const ClusterConfig& config() const { return config_; }
-  uint32_t k() const { return avt_.k(); }
   const GkStatistics& statistics() const { return stats_; }
-  /// Aggregated hit/miss counters of the coordinator's plan cache.
-  PlanCacheStats plan_cache_stats() const;
   /// Total bytes shipped shard -> coordinator since hosting (the exchange
   /// links' byte meters; shard 0 is the coordinator and ships nothing).
   size_t ExchangedBytes() const;
 
  private:
-  struct PlanCache;  // Mutex + LRU, same shape as CloudServer's.
+  explicit CloudCluster(const CloudConfig& config) : CloudPipeline(config) {}
 
-  CloudCluster() = default;
+  /// Each shard shortlists its owned root candidates; the coordinator
+  /// merges them into global order and solves the ILP over those costs.
+  Result<UnitDecomposition> PlanUnits(
+      const AttributedGraph& qo) const override;
+  /// Every shard matches the plan over its slice, the rows cross the
+  /// exchange links and merge back into global Go-local ids.
+  Result<std::vector<UnitMatches>> MatchUnitRows(
+      const AttributedGraph& qo, const UnitDecomposition& plan,
+      const UnitMatchOptions& options,
+      CloudQueryStats& stats) const override;
 
-  ClusterConfig config_;
-  ShardConfig shard_config_;
   std::vector<CloudServer> shards_;
   /// Exchange link of each shard; entry 0 exists but is never charged (the
   /// coordinator is colocated with shard 0).
@@ -111,13 +102,9 @@ class CloudCluster : public QueryHandler {
   /// complete, so these equal the unsharded Go degrees) — the cost model's
   /// per-candidate input.
   std::vector<size_t> go_degree_;
-  /// Global Go-local id -> Gk id (the unsharded to_gk, reassembled).
-  std::vector<VertexId> to_gk_;
-  Avt avt_;             // Full table (identical on every shard).
   GkStatistics stats_;  // Global statistics (identical on every shard).
   uint64_t global_vertices_ = 0;
   uint64_t global_b1_ = 0;
-  std::unique_ptr<PlanCache> plan_cache_;
 };
 
 }  // namespace ppsm

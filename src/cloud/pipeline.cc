@@ -1,0 +1,366 @@
+#include "cloud/pipeline.h"
+
+#include <chrono>
+#include <mutex>
+#include <optional>
+#include <string>
+
+#include "cloud/messages.h"
+#include "match/result_join.h"
+#include "obs/flight_recorder.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "util/lru_cache.h"
+#include "util/timer.h"
+
+namespace ppsm {
+
+namespace {
+/// Per-phase intermediate-row budget. A unit or join state larger than this
+/// means the (anonymized) query is degenerate for exact answering; the cloud
+/// refuses with ResourceExhausted rather than exhausting memory.
+constexpr size_t kMaxRows = 2'000'000;
+
+using SteadyClock = std::chrono::steady_clock;
+
+/// Handles into the global registry, resolved once. CloudQueryStats stays
+/// the per-query view returned to callers; these accumulate across queries
+/// for export (DESIGN.md "Observability").
+struct CloudMetrics {
+  MetricsRegistry::Counter queries;
+  MetricsRegistry::Counter stars;
+  MetricsRegistry::Counter rs_rows;
+  MetricsRegistry::Counter result_rows;
+  MetricsRegistry::Counter plan_cache_hits;
+  MetricsRegistry::Counter plan_cache_misses;
+  MetricsRegistry::Counter deadline_exceeded;
+  MetricsRegistry::Histogram decomposition_ms;
+  MetricsRegistry::Histogram star_matching_ms;
+  MetricsRegistry::Histogram join_ms;
+  MetricsRegistry::Histogram query_ms;
+  MetricsRegistry::Histogram star_rows;
+  MetricsRegistry::Histogram join_estimate_ratio;
+  MetricsRegistry::Gauge plan_cache_entries;
+
+  static const CloudMetrics& Get() {
+    static const CloudMetrics m = [] {
+      MetricsRegistry& r = MetricsRegistry::Global();
+      CloudMetrics metrics;
+      metrics.queries =
+          r.counter("ppsm_cloud_queries_total", "Queries answered");
+      metrics.stars = r.counter("ppsm_cloud_stars_total",
+                                "Stars across all decompositions");
+      metrics.rs_rows =
+          r.counter("ppsm_cloud_rs_rows_total", "Star matches |RS|");
+      metrics.result_rows =
+          r.counter("ppsm_cloud_result_rows_total", "Joined rows returned");
+      metrics.plan_cache_hits =
+          r.counter("ppsm_cloud_plan_cache_hits_total",
+                    "Decompositions served from the plan cache");
+      metrics.plan_cache_misses =
+          r.counter("ppsm_cloud_plan_cache_misses_total",
+                    "Decompositions that ran the ILP solver");
+      metrics.deadline_exceeded =
+          r.counter("ppsm_cloud_deadline_exceeded_total",
+                    "Queries abandoned at their deadline");
+      metrics.decomposition_ms =
+          r.histogram("ppsm_cloud_decomposition_ms", DefaultLatencyBucketsMs(),
+                      "Query decomposition time");
+      metrics.star_matching_ms =
+          r.histogram("ppsm_cloud_star_matching_ms", DefaultLatencyBucketsMs(),
+                      "Star matching phase time");
+      metrics.join_ms = r.histogram("ppsm_cloud_join_ms",
+                                    DefaultLatencyBucketsMs(),
+                                    "Result join time");
+      metrics.query_ms = r.histogram("ppsm_cloud_query_ms",
+                                     DefaultLatencyBucketsMs(),
+                                     "Cloud query evaluation time");
+      metrics.star_rows =
+          r.histogram("ppsm_cloud_star_match_rows", DefaultCountBuckets(),
+                      "Matches per star");
+      // Estimate/actual join-step ratio buckets: powers of two around 1.0
+      // (1.0 = perfectly calibrated cost model; the tails are the
+      // mis-ordered joins worth staring at).
+      metrics.join_estimate_ratio = r.histogram(
+          "ppsm_cloud_join_step_estimate_ratio",
+          {0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0},
+          "Cost-model (estimate+1)/(actual+1) per join step");
+      metrics.plan_cache_entries =
+          r.gauge("ppsm_cloud_plan_cache_entries",
+                  "Plan-cache occupancy (last hosted server)");
+      return metrics;
+    }();
+    return m;
+  }
+};
+
+Status MakeDeadlineExceeded(const char* phase) {
+  CloudMetrics::Get().deadline_exceeded.Increment();
+  return Status::DeadlineExceeded(std::string("query deadline exceeded (") +
+                                  phase + ")");
+}
+}  // namespace
+
+/// The decomposition memo: unit plans keyed by canonical Qo signature. The
+/// only mutable state of a hosted pipeline, guarded by `mu` so Serve stays
+/// const and thread-safe. Heap-allocated because std::mutex pins the
+/// address and hosts are moved out of their Host() factories.
+struct CloudPipeline::PlanCache {
+  explicit PlanCache(size_t capacity) : plans(capacity) {}
+
+  std::mutex mu;
+  LruCache<std::string, UnitDecomposition> plans;
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+};
+
+CloudPipeline::CloudPipeline(const CloudConfig& config) : config_(config) {
+  if (config_.num_threads == 0) config_.num_threads = 1;
+  if (config_.max_inflight == 0) config_.max_inflight = 1;
+  if (config_.plan_cache_entries > 0) {
+    plan_cache_ = std::make_unique<PlanCache>(config_.plan_cache_entries);
+  }
+  CloudMetrics::Get().plan_cache_entries.Set(0.0);
+}
+
+CloudPipeline::~CloudPipeline() = default;
+CloudPipeline::CloudPipeline(CloudPipeline&&) noexcept = default;
+CloudPipeline& CloudPipeline::operator=(CloudPipeline&&) noexcept = default;
+
+PlanCacheStats CloudPipeline::plan_cache_stats() const {
+  PlanCacheStats stats;
+  if (plan_cache_ == nullptr) return stats;
+  std::lock_guard<std::mutex> lock(plan_cache_->mu);
+  stats.hits = plan_cache_->hits;
+  stats.misses = plan_cache_->misses;
+  stats.entries = plan_cache_->plans.size();
+  stats.capacity = plan_cache_->plans.capacity();
+  return stats;
+}
+
+Result<WireAnswer> CloudPipeline::Serve(std::span<const uint8_t> qo_bytes,
+                                        const QueryContext& ctx) const {
+  // Per-query stats, filled as the phases run and published to ctx.stats on
+  // EVERY return path — failure included — via this scope guard. The
+  // Result<WireAnswer> cannot carry stats on an error, and the failed
+  // queries are exactly the ones the flight recorder needs full accounting
+  // for.
+  CloudQueryStats stats;
+  stats.query_id =
+      ctx.query_id != 0 ? ctx.query_id : FlightRecorder::NextQueryId();
+  stats.queue_wait_ms = ctx.queue_wait_ms;
+  struct StatsPublisher {
+    CloudQueryStats* from;
+    CloudQueryStats* to;
+    ~StatsPublisher() {
+      if (to != nullptr) *to = *from;
+    }
+  } publisher{&stats, ctx.stats};
+
+  WallTimer total_timer;
+  const SteadyClock::time_point deadline = ctx.deadline;
+  const bool has_deadline = deadline != SteadyClock::time_point::max();
+  const auto timeout = [&](const char* phase) {
+    stats.timed_out_phase = phase;
+    stats.total_ms = total_timer.ElapsedMillis();
+    return MakeDeadlineExceeded(phase);
+  };
+  if (has_deadline && SteadyClock::now() >= deadline) {
+    return timeout("on admission");
+  }
+  PPSM_ASSIGN_OR_RETURN(const AttributedGraph qo,
+                        DeserializeQueryRequest(qo_bytes));
+  if (qo.NumVertices() == 0) {
+    return Status::InvalidArgument("empty query");
+  }
+
+  WireAnswer answer;
+  TraceSpan query_span(Tracer::Global(), "cloud.answer_query", "query");
+  query_span.AddArg("query_id", stats.query_id);
+  const CloudMetrics& metrics = CloudMetrics::Get();
+
+  // Phase 1: cost-model query decomposition (exact ILP) over generalized
+  // units — stars always, paths/trees up to the depth the hosted radius
+  // supports. At depth 1 this is the paper's §4.2.1 star decomposition,
+  // plan for plan. The plan is pure in (Qo, host), so repeated workload
+  // shapes hit the plan cache and skip the solver entirely.
+  WallTimer phase_timer;
+  std::optional<UnitDecomposition> cached;
+  std::string signature;
+  if (plan_cache_ != nullptr) {
+    signature = QoSignature(qo);
+    std::lock_guard<std::mutex> lock(plan_cache_->mu);
+    cached = plan_cache_->plans.Get(signature);
+    if (cached.has_value()) {
+      ++plan_cache_->hits;
+    } else {
+      ++plan_cache_->misses;
+    }
+  }
+  UnitDecomposition decomposition;
+  if (cached.has_value()) {
+    decomposition = *std::move(cached);
+    stats.plan_cache_hit = true;
+    metrics.plan_cache_hits.Increment();
+  } else {
+    Result<UnitDecomposition> decomposition_or = [&] {
+      PPSM_TRACE_SPAN_CAT("cloud.decompose", "query");
+      return PlanUnits(qo);
+    }();
+    PPSM_ASSIGN_OR_RETURN(decomposition, std::move(decomposition_or));
+    if (plan_cache_ != nullptr) {
+      metrics.plan_cache_misses.Increment();
+      std::lock_guard<std::mutex> lock(plan_cache_->mu);
+      plan_cache_->plans.Put(std::move(signature), decomposition);
+      metrics.plan_cache_entries.Set(
+          static_cast<double>(plan_cache_->plans.size()));
+    }
+  }
+  stats.decomposition_ms = phase_timer.ElapsedMillis();
+  stats.num_stars = decomposition.units.size();
+  metrics.decomposition_ms.Observe(stats.decomposition_ms);
+  metrics.stars.Increment(decomposition.units.size());
+  if (has_deadline && SteadyClock::now() >= deadline) {
+    return timeout("after decomposition");
+  }
+
+  // Phase 2: unit matching (Algorithm 1, generalized), bounded by the row
+  // cap so pathological queries fail with ResourceExhausted instead of
+  // exhausting the machine. An expired deadline cancels the remaining units
+  // and candidate chunks, so the query stops within one chunk of expiry.
+  phase_timer.Restart();
+  UnitMatchOptions match_options;
+  match_options.max_rows = kMaxRows;
+  match_options.num_threads = config_.num_threads;
+  match_options.use_aux_graph = config_.aux_graph;
+  match_options.intersect_kernel = config_.intersect_kernel;
+  MatchPhaseStats phase_stats;
+  match_options.phase_stats = &phase_stats;
+  if (has_deadline) {
+    match_options.cancelled = [deadline] {
+      return SteadyClock::now() >= deadline;
+    };
+  }
+  Result<std::vector<UnitMatches>> units_or = [&] {
+    TraceSpan span(Tracer::Global(), "cloud.star_match", "query");
+    span.AddArg("query_id", stats.query_id);
+    span.AddArg("num_stars", static_cast<uint64_t>(
+                                 decomposition.units.size()));
+    return MatchUnitRows(qo, decomposition, match_options, stats);
+  }();
+  PPSM_ASSIGN_OR_RETURN(std::vector<UnitMatches> units, std::move(units_or));
+  // Per-unit profiles (the cost-model calibration inputs) are filled before
+  // any early return below so even a timed-out or truncated query reports
+  // what its units did.
+  const bool estimates_aligned =
+      decomposition.estimates.size() == units.size();
+  stats.stars.reserve(units.size());
+  bool unit_truncated = false;
+  for (size_t i = 0; i < units.size(); ++i) {
+    UnitProfile profile;
+    profile.center = static_cast<uint32_t>(units[i].center);
+    profile.candidates = units[i].num_candidates;
+    profile.rows = units[i].matches.NumMatches();
+    profile.estimated_rows =
+        estimates_aligned ? decomposition.estimates[i] : 0.0;
+    profile.truncated = units[i].truncated;
+    profile.skipped = units[i].skipped;
+    profile.kind = UnitKindName(units[i].kind);
+    unit_truncated = unit_truncated || units[i].truncated;
+    stats.stars.push_back(profile);
+  }
+  stats.aux_build_ms = phase_stats.aux_build_ms;
+  stats.aux_bytes = phase_stats.aux_bytes;
+  stats.intersect_scalar =
+      phase_stats.intersect_scalar.load(std::memory_order_relaxed);
+  stats.intersect_galloping =
+      phase_stats.intersect_galloping.load(std::memory_order_relaxed);
+  stats.intersect_simd =
+      phase_stats.intersect_simd.load(std::memory_order_relaxed);
+  if (has_deadline && SteadyClock::now() >= deadline) {
+    return timeout("during star matching");
+  }
+  for (const UnitMatches& unit : units) {
+    metrics.star_rows.Observe(
+        static_cast<double>(unit.matches.NumMatches()));
+  }
+  // Translate to Gk ids so the join can apply the automorphic functions.
+  for (UnitMatches& unit : units) {
+    MatchSet translated(unit.matches.arity());
+    translated.ReserveAdditional(unit.matches.NumMatches());
+    std::vector<VertexId> row(unit.matches.arity());
+    for (size_t r = 0; r < unit.matches.NumMatches(); ++r) {
+      const auto host = unit.matches.Get(r);
+      for (size_t i = 0; i < host.size(); ++i) row[i] = to_gk_[host[i]];
+      translated.Append(row);
+    }
+    unit.matches = std::move(translated);
+    stats.rs_size += unit.matches.NumMatches();
+  }
+  stats.star_matching_ms = phase_timer.ElapsedMillis();
+  metrics.star_matching_ms.Observe(stats.star_matching_ms);
+  metrics.rs_rows.Increment(stats.rs_size);
+  if (unit_truncated) {
+    // Row cap fired during unit matching (the deadline case returned
+    // above): the match sets are incomplete, so exact answering is off the
+    // table. Same status the join would produce, but with the overflow
+    // attributed to the phase that caused it.
+    stats.overflowed = true;
+    stats.total_ms = total_timer.ElapsedMillis();
+    return Status::ResourceExhausted(
+        "star match set was truncated; join would be incomplete");
+  }
+  if (has_deadline && SteadyClock::now() >= deadline) {
+    return timeout("before join");
+  }
+
+  // Phase 3: result join (Algorithm 2) -> Rin (or R(Qo,Gk) for baseline).
+  // Probe-side partitioning across the same worker budget; the cost-model
+  // estimates from the decomposition order the join steps.
+  phase_timer.Restart();
+  JoinOptions join_options;
+  join_options.max_rows = kMaxRows;
+  join_options.num_threads = config_.num_threads;
+  join_options.star_cost_estimates = decomposition.estimates;
+  JoinDiagnostics join_diag;
+  Result<MatchSet> rin_or = [&] {
+    TraceSpan span(Tracer::Global(), "cloud.join", "query");
+    span.AddArg("query_id", stats.query_id);
+    span.AddArg("rs_size", static_cast<uint64_t>(stats.rs_size));
+    return JoinUnitMatches(units, avt_, qo.NumVertices(), join_options,
+                           &join_diag);
+  }();
+  stats.join_ms = phase_timer.ElapsedMillis();
+  stats.join_steps = std::move(join_diag.steps);
+  stats.peak_join_rows = join_diag.peak_rows;
+  for (const JoinStepProfile& step : stats.join_steps) {
+    if (step.estimated_rows > 0.0 && !step.overflow) {
+      metrics.join_estimate_ratio.Observe(
+          (step.estimated_rows + 1.0) /
+          (static_cast<double>(step.output_rows) + 1.0));
+    }
+  }
+  if (!rin_or.ok()) {
+    if (rin_or.status().code() == StatusCode::kResourceExhausted) {
+      stats.overflowed = true;  // A join step hit the row cap.
+    }
+    stats.total_ms = total_timer.ElapsedMillis();
+    return rin_or.status();
+  }
+  const MatchSet rin = std::move(rin_or).value();
+  metrics.join_ms.Observe(stats.join_ms);
+
+  stats.result_rows = rin.NumMatches();
+  answer.response_payload = rin.Serialize();
+  stats.total_ms = total_timer.ElapsedMillis();
+  metrics.result_rows.Increment(stats.result_rows);
+  metrics.query_ms.Observe(stats.total_ms);
+  metrics.queries.Increment();
+  query_span.AddArg("result_rows",
+                    static_cast<uint64_t>(stats.result_rows));
+  query_span.AddArg("total_ms", stats.total_ms);
+  answer.stats = stats;
+  return answer;
+}
+
+}  // namespace ppsm

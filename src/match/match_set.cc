@@ -4,8 +4,6 @@
 #include <cassert>
 
 #include "graph/serialize.h"
-#include "util/parallel.h"
-#include "util/parallel_sort.h"
 
 namespace ppsm {
 
@@ -56,75 +54,6 @@ void MatchSet::SortDedup() {
     sorted.insert(sorted.end(), flat_.begin() + row * arity_,
                   flat_.begin() + (row + 1) * arity_);
   }
-  flat_ = std::move(sorted);
-}
-
-void MatchSet::SortDedup(size_t num_threads) {
-  // Below this the pool dispatch costs more than the sort saves.
-  constexpr size_t kMinParallelRows = 1 << 13;
-  if (arity_ == 0 || flat_.empty()) return;
-  const size_t rows = NumMatches();
-  if (num_threads <= 1 || rows < kMinParallelRows) {
-    SortDedup();
-    return;
-  }
-
-  // Sorting row indices with a full lexicographic comparator touches two
-  // random rows per compare, which is what makes the serial SortDedup the
-  // hot spot on large joins. Pack the first two columns into a 64-bit key
-  // carried next to the index: the vast majority of comparisons then
-  // resolve on one register compare, and the tie-break only scans the
-  // remaining columns. Ordering by (key, rest) is exactly lexicographic
-  // order of the full row, so the result matches the serial overload.
-  struct KeyedRow {
-    uint64_t key;
-    uint32_t row;
-  };
-  const size_t skip = arity_ < 2 ? arity_ : 2;
-  std::vector<KeyedRow> order(rows);
-  ParallelForChunks(
-      num_threads, rows, kMinParallelRows / 2,
-      [&](size_t /*chunk*/, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          const VertexId* row = flat_.data() + i * arity_;
-          uint64_t key = static_cast<uint64_t>(row[0]) << 32;
-          if (arity_ > 1) key |= row[1];
-          order[i] = {key, static_cast<uint32_t>(i)};
-        }
-      });
-  const auto row_less = [this, skip](const KeyedRow& a, const KeyedRow& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return std::lexicographical_compare(
-        flat_.begin() + a.row * arity_ + skip,
-        flat_.begin() + (a.row + 1) * arity_,
-        flat_.begin() + b.row * arity_ + skip,
-        flat_.begin() + (b.row + 1) * arity_);
-  };
-  const auto row_equal = [this, skip](const KeyedRow& a, const KeyedRow& b) {
-    if (a.key != b.key) return false;
-    return std::equal(flat_.begin() + a.row * arity_ + skip,
-                      flat_.begin() + (a.row + 1) * arity_,
-                      flat_.begin() + b.row * arity_ + skip);
-  };
-
-  // Parallel merge sort over keyed rows; rows with identical content are
-  // interchangeable under row_less, so the result is thread-count
-  // independent once unique() keeps one of each.
-  ParallelSort(order.begin(), order.end(), num_threads, row_less,
-               kMinParallelRows / 2);
-  order.erase(std::unique(order.begin(), order.end(), row_equal),
-              order.end());
-
-  // Gather into the final layout; rows land at disjoint offsets.
-  std::vector<VertexId> sorted(order.size() * arity_);
-  ParallelForChunks(
-      num_threads, order.size(), kMinParallelRows / 2,
-      [&](size_t /*chunk*/, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          std::copy_n(flat_.begin() + order[i].row * arity_, arity_,
-                      sorted.begin() + i * arity_);
-        }
-      });
   flat_ = std::move(sorted);
 }
 

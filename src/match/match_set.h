@@ -39,12 +39,6 @@ class MatchSet {
 
   /// Sorts rows lexicographically and removes exact duplicates.
   void SortDedup();
-  /// Same result, computed with up to `num_threads` pool workers: chunk
-  /// sorts, pairwise parallel merges, then a parallel gather. Large joins
-  /// spend more time here than in the join loop itself, so the serial sort
-  /// would cap the parallel pipeline (Amdahl). Falls back to the serial
-  /// path for small sets or num_threads <= 1.
-  void SortDedup(size_t num_threads);
 
   /// New match set keeping only `columns` (indices into this set's arity,
   /// in the given order), deduplicated. Used e.g. to strip the imaginary

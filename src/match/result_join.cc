@@ -420,7 +420,6 @@ Result<MatchSet> JoinStarMatches(const std::vector<StarMatches>& stars,
   // (overlap + new columns), and the min-shift check already keeps exactly
   // one (s, m) per expanded row. Sorting ~|Rin| distinct rows was the
   // single most expensive phase of large joins, for presentation only.
-  if (options.sorted_output) canonical.SortDedup(options.num_threads);
   return canonical;
 }
 

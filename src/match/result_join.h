@@ -63,12 +63,6 @@ struct JoinOptions {
   /// intermediate memory for the same result; kept for A/B benches and the
   /// equivalence tests.
   bool eager_expansion = false;
-  /// Sort Rin lexicographically before returning. The join emits distinct
-  /// rows by construction, so this is presentation only — and sorting |Rin|
-  /// rows was the single most expensive phase on high-fanout queries. No
-  /// consumer needs it (the client re-normalizes after expand+filter); kept
-  /// for A/B benches reproducing the pre-optimization pipeline.
-  bool sorted_output = false;
 };
 
 /// Algorithm 2 (result join): combines per-star match sets over Go into Rin,
@@ -90,9 +84,9 @@ struct JoinOptions {
 ///
 /// Input star matches must already be translated to Gk vertex ids and be
 /// duplicate-free per star (MatchStars guarantees both). Output columns are
-/// canonical (query vertex 0..m-1); rows are then distinct by construction,
-/// sorted only when `options.sorted_output` asks for it, and identical at
-/// any thread count.
+/// canonical (query vertex 0..m-1); rows are then distinct by construction
+/// (never sorted: the client re-normalizes after expand+filter), and
+/// identical at any thread count.
 Result<MatchSet> JoinStarMatches(const std::vector<StarMatches>& stars,
                                  const Avt& avt, size_t num_query_vertices,
                                  const JoinOptions& options,

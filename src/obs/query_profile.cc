@@ -505,7 +505,7 @@ Result<QueryProfile> QueryProfileFromJson(std::string_view json) {
           PPSM_ASSIGN_OR_RETURN(profile.response_bytes, ParseU64(&cursor));
         } else if (key == "stars") {
           return cursor.ParseArray([&]() -> Status {
-            StarProfile star;
+            UnitProfile star;
             PPSM_RETURN_IF_ERROR(ParseStar(&cursor, &star));
             profile.stars.push_back(star);
             return Status::OK();

@@ -14,8 +14,7 @@ namespace ppsm {
 /// Per-unit record of one query's unit-matching phase: how many candidate
 /// roots the index shortlisted, how many rows materialized, and what the
 /// §5.1 cost model predicted for the unit. The estimate/actual pair is the
-/// raw material of the cost-model calibration report. Historically every
-/// unit was a star (the legacy StarProfile alias below); `kind` tags the
+/// raw material of the cost-model calibration report. `kind` tags the
 /// shape ("star", "path", "tree") so calibration can be reported per family.
 struct UnitProfile {
   uint32_t center = 0;         // Query vertex id of the unit root.
@@ -26,9 +25,6 @@ struct UnitProfile {
   bool skipped = false;        // Never matched: a sibling truncated first.
   std::string kind = "star";   // Unit shape: "star", "path" or "tree".
 };
-
-/// Legacy name from the star-only pipeline.
-using StarProfile = UnitProfile;
 
 /// Per-step record of the result join: which unit joined in, what the cost
 /// model expected of it, and what actually came out. `output_rows` across

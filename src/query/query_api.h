@@ -18,14 +18,12 @@ namespace ppsm {
 /// ---------------------------------------------------------------------------
 /// The unified query API. One request/response pair serves every entry point
 /// of the system — PpsmSystem (end-to-end), QueryService (admission +
-/// serving), CloudServer and CloudCluster (evaluation) and the CLI — where
-/// there used to be three diverging signatures (PpsmSystem::Query,
-/// ::QueryBatch and CloudServer::AnswerQuery overloads). The legacy entry
-/// points survive one release as [[deprecated]] shims over this API.
+/// serving), CloudServer and CloudCluster (evaluation), the socket front
+/// end and the CLI.
 /// ---------------------------------------------------------------------------
 
 /// Per-request evaluation knobs (the request-scoped complement of the
-/// deployment-scoped ShardConfig/ClusterConfig).
+/// deployment-scoped CloudConfig).
 struct QueryOptions {
   /// Sort the final exact matches lexicographically before returning them.
   /// Presentation only — the result set is distinct either way — and off by
@@ -42,7 +40,7 @@ struct QueryRequest {
   AttributedGraph pattern;
   QueryOptions options;
   /// Per-request wall-clock budget in milliseconds, measured from admission.
-  /// 0 defers to the service-wide ClusterConfig::query_deadline_ms.
+  /// 0 defers to the service-wide CloudConfig::query_deadline_ms.
   uint64_t deadline_ms = 0;
   /// Opaque caller tag, echoed on QueryResponse::tag.
   std::string tag;
@@ -91,7 +89,7 @@ struct CloudQueryStats {
   std::string timed_out_phase;
   /// Per-star candidate/row counts with the §5.1 estimates (the cost-model
   /// calibration inputs). Filled once star matching ran.
-  std::vector<StarProfile> stars;
+  std::vector<UnitProfile> stars;
   /// Per-join-step estimated-vs-actual trace (JoinDiagnostics::steps).
   std::vector<JoinStepProfile> join_steps;
   /// Per-shard match/exchange accounting when the query ran on a
@@ -184,7 +182,7 @@ struct WireAnswer {
 };
 
 /// Admission-relevant limits a query handler advertises to the service
-/// fronting it (the serving subset of ClusterConfig).
+/// fronting it (the serving subset of CloudConfig).
 struct ServiceLimits {
   size_t max_inflight = 16;
   uint64_t query_deadline_ms = 0;

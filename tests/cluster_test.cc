@@ -3,7 +3,8 @@
 // shard uploads round-trip through the owner store and re-host to the same
 // answers, the exchange meters count real bytes, baseline uploads are
 // rejected, and the PpsmSystem facade serves the sharded path end to end —
-// including concurrently (run under TSan in CI).
+// including concurrently (run under TSan in CI) and with the same cloud
+// metrics as the single server.
 
 #include "cloud/cluster.h"
 
@@ -19,6 +20,7 @@
 #include "core/ppsm_system.h"
 #include "graph/generators.h"
 #include "graph/query_extractor.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 
 namespace ppsm {
@@ -28,6 +30,18 @@ std::string TempDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/ppsm_cluster_" + name;
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+uint64_t HistogramCount(const std::string& name) {
+  MetricSnapshot snap;
+  if (!MetricsRegistry::Global().Find(name, &snap)) return 0;
+  return snap.histogram.count;
+}
+
+double CounterValue(const std::string& name) {
+  MetricSnapshot snap;
+  if (!MetricsRegistry::Global().Find(name, &snap)) return 0.0;
+  return snap.value;
 }
 
 struct Fixture {
@@ -63,9 +77,7 @@ TEST(Cluster, ByteIdenticalToUnshardedAtEveryShardCount) {
   ASSERT_TRUE(server.ok()) << server.status();
 
   for (const uint32_t num_shards : {1u, 2u, 4u}) {
-    ClusterConfig config;
-    config.num_shards = num_shards;
-    auto cluster = CloudCluster::Host(fx.owner.upload_bytes(), config);
+    auto cluster = CloudCluster::Host(fx.owner.upload_bytes(), num_shards);
     ASSERT_TRUE(cluster.ok()) << cluster.status();
     ASSERT_EQ(cluster->num_shards(), num_shards);
     EXPECT_EQ(cluster->k(), 8u);
@@ -118,9 +130,7 @@ TEST(Cluster, ShardUploadsRoundTripThroughTheStore) {
   // Re-hosting the reloaded shards merges to the unsharded answers.
   auto server = CloudServer::Host(fx.owner.upload_bytes());
   ASSERT_TRUE(server.ok());
-  ClusterConfig config;
-  config.num_shards = 4;
-  auto cluster = CloudCluster::HostShards(std::move(reloaded->shards), config);
+  auto cluster = CloudCluster::HostShards(std::move(reloaded->shards));
   ASSERT_TRUE(cluster.ok()) << cluster.status();
   for (const auto& request : fx.requests) {
     auto want = server->Serve(request);
@@ -133,9 +143,7 @@ TEST(Cluster, ShardUploadsRoundTripThroughTheStore) {
 
 TEST(Cluster, ExchangeMetersCountShardTraffic) {
   Fixture fx = MakeFixture(/*k=*/2, /*num_queries=*/3);
-  ClusterConfig config;
-  config.num_shards = 3;
-  auto cluster = CloudCluster::Host(fx.owner.upload_bytes(), config);
+  auto cluster = CloudCluster::Host(fx.owner.upload_bytes(), /*num_shards=*/3);
   ASSERT_TRUE(cluster.ok()) << cluster.status();
 
   EXPECT_EQ(cluster->ExchangedBytes(), 0u);
@@ -200,6 +208,41 @@ TEST(Cluster, SystemFacadeServesShardedBatchesConcurrently) {
   }
 }
 
+TEST(Cluster, ShardedQueriesRecordTheCloudPipelineMetrics) {
+  // A sharded query runs the same cloud pipeline as the single server, so
+  // a repeated pattern hits the coordinator's plan cache and every phase
+  // lands in the ppsm_cloud_* counters and histograms.
+  auto g = GenerateDataset(DbpediaLike(0.01));
+  ASSERT_TRUE(g.ok());
+  SystemConfig config;
+  config.k = 2;
+  config.num_shards = 2;
+  auto system = PpsmSystem::Setup(*g, g->schema(), config);
+  ASSERT_TRUE(system.ok()) << system.status();
+  ASSERT_NE(system->cluster(), nullptr);
+  Rng rng(5);
+  auto extracted = ExtractQuery(*g, 4, rng);
+  ASSERT_TRUE(extracted.ok());
+  QueryRequest request;
+  request.pattern = extracted->query;
+
+  const double hits_before = CounterValue("ppsm_cloud_plan_cache_hits_total");
+  const uint64_t joins_before = HistogramCount("ppsm_cloud_join_ms");
+  const uint64_t plans_before = HistogramCount("ppsm_cloud_decomposition_ms");
+  const QueryResponse first = system->Execute(request);
+  ASSERT_TRUE(first.ok()) << first.status;
+  EXPECT_FALSE(first.cloud.plan_cache_hit);
+  const QueryResponse second = system->Execute(request);
+  ASSERT_TRUE(second.ok()) << second.status;
+  EXPECT_TRUE(second.cloud.plan_cache_hit);
+
+  EXPECT_EQ(CounterValue("ppsm_cloud_plan_cache_hits_total"),
+            hits_before + 1.0);
+  EXPECT_EQ(HistogramCount("ppsm_cloud_join_ms"), joins_before + 2);
+  EXPECT_EQ(HistogramCount("ppsm_cloud_decomposition_ms"), plans_before + 2);
+  EXPECT_EQ(system->cluster()->plan_cache_stats().hits, 1u);
+}
+
 TEST(Cluster, FacadeRejectsShardedBaseline) {
   auto g = GenerateDataset(DbpediaLike(0.008));
   ASSERT_TRUE(g.ok());
@@ -225,9 +268,7 @@ TEST(Cluster, BaselineUploadsAreRejected) {
   EXPECT_FALSE(plan.ok());
   EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
 
-  ClusterConfig config;
-  config.num_shards = 2;
-  auto cluster = CloudCluster::Host(owner->upload_bytes(), config);
+  auto cluster = CloudCluster::Host(owner->upload_bytes(), /*num_shards=*/2);
   EXPECT_FALSE(cluster.ok());
 }
 

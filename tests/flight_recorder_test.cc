@@ -317,7 +317,7 @@ TEST(Calibration, PercentilesFromKnownRatios) {
   std::vector<QueryProfile> profiles;
   QueryProfile profile;
   for (int i = 0; i < 4; ++i) {
-    StarProfile star;
+    UnitProfile star;
     star.rows = 9;
     star.estimated_rows = 19.0;  // (19+1)/(9+1) = 2.
     profile.stars.push_back(star);
@@ -327,10 +327,10 @@ TEST(Calibration, PercentilesFromKnownRatios) {
     profile.join_steps.push_back(step);
   }
   // Excluded samples: no estimate, truncated star, overflowed step.
-  StarProfile no_estimate;
+  UnitProfile no_estimate;
   no_estimate.rows = 5;
   profile.stars.push_back(no_estimate);
-  StarProfile truncated;
+  UnitProfile truncated;
   truncated.rows = 1;
   truncated.estimated_rows = 100.0;
   truncated.truncated = true;

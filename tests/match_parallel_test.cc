@@ -213,9 +213,8 @@ TEST(MatchParallel, ProbeJoinMatchesEagerExpansion) {
 }
 
 TEST(MatchParallel, JoinOutputIsAlreadyDeduplicated) {
-  // The join no longer runs a global sort-dedup over Rin: rows must be
-  // distinct by construction. Re-deduplicating a copy must not shrink it,
-  // and the opt-in sorted_output must be the same set in sorted order.
+  // The join runs no global sort-dedup over Rin: rows must be distinct by
+  // construction. Re-deduplicating a copy must not shrink it.
   const CloudFixture f = MakeFixture(3);
   Rng rng(95);
   size_t nonempty = 0;
@@ -240,41 +239,8 @@ TEST(MatchParallel, JoinOutputIsAlreadyDeduplicated) {
     deduped.SortDedup();
     EXPECT_EQ(deduped.NumMatches(), rin->NumMatches())
         << "trial " << trial << " emitted duplicate rows";
-
-    options.sorted_output = true;
-    auto sorted = JoinStarMatches(stars, f.kag.avt, qo->NumVertices(),
-                                  options);
-    ASSERT_TRUE(sorted.ok()) << sorted.status();
-    EXPECT_TRUE(*sorted == deduped) << "trial " << trial;
   }
   EXPECT_GE(nonempty, 1u);
-}
-
-TEST(MatchParallel, ParallelSortDedupMatchesSerial) {
-  // The keyed parallel SortDedup must produce byte-identical results to the
-  // serial overload, on sets large enough to take the parallel path and
-  // dense enough to exercise key ties and duplicate removal.
-  Rng rng(96);
-  for (const size_t arity : {1u, 2u, 5u}) {
-    MatchSet set(arity);
-    std::vector<VertexId> row(arity);
-    for (int r = 0; r < 40000; ++r) {
-      // Tiny domain: many duplicate rows and many equal 2-column prefixes.
-      for (size_t c = 0; c < arity; ++c) {
-        row[c] = static_cast<VertexId>(rng.Below(arity == 1 ? 5000 : 9));
-      }
-      set.Append(row);
-    }
-    MatchSet serial = set;
-    serial.SortDedup();
-    for (const size_t threads : {2u, 4u, 8u}) {
-      MatchSet parallel = set;
-      parallel.SortDedup(threads);
-      EXPECT_TRUE(parallel == serial)
-          << "arity " << arity << " at " << threads << " threads: got "
-          << parallel.NumMatches() << " rows, want " << serial.NumMatches();
-    }
-  }
 }
 
 TEST(MatchParallel, JoinVerifiesRowsBehindEqualHashKeys) {

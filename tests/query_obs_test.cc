@@ -95,7 +95,7 @@ TEST(QueryObs, ReplyCarriesQueryIdAndPerPhaseProfiles) {
     // One star profile per decomposed star, actuals filled in.
     ASSERT_EQ(stats.stars.size(), stats.num_stars);
     uint64_t rows_across_stars = 0;
-    for (const StarProfile& star : stats.stars) {
+    for (const UnitProfile& star : stats.stars) {
       EXPECT_GE(star.candidates, star.rows == 0 ? 0u : 1u);
       rows_across_stars += star.rows;
     }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "core/ppsm_system.h"
 #include "graph/generators.h"
 #include "graph/graph_algos.h"
@@ -10,15 +13,22 @@
 namespace ppsm {
 namespace {
 
+// gtest prints a param's raw bytes into the test name, so the struct must
+// have no padding: uninitialised padding bytes made the names differ from
+// one run to the next. `reserved` fills the gap with a fixed zero.
 struct ShapeCase {
+  ShapeCase(QueryShape s, size_t n) : shape(s), num_edges(n) {}
   QueryShape shape;
+  uint32_t reserved = 0;
   size_t num_edges;
 };
+static_assert(std::has_unique_object_representations_v<ShapeCase>);
 
 class ShapedQueries : public ::testing::TestWithParam<ShapeCase> {};
 
 TEST_P(ShapedQueries, ExtractsAndMatches) {
-  const auto [shape, num_edges] = GetParam();
+  const QueryShape shape = GetParam().shape;
+  const size_t num_edges = GetParam().num_edges;
   const auto g = GenerateDataset(DbpediaLike(0.01));
   ASSERT_TRUE(g.ok());
   Rng rng(1234);

@@ -358,9 +358,8 @@ int Query(const Args& args) {
   auto method = ParseMethod(args.Get("method", "eff"));
   if (!method.ok()) return Fail(method.status().ToString());
   config.method = method.value();
-  // --threads is the deprecated spelling of --cloud-threads.
-  config.cloud.num_threads = static_cast<size_t>(std::max(
-      1L, args.GetInt("cloud-threads", args.GetInt("threads", 1))));
+  config.cloud.num_threads =
+      static_cast<size_t>(std::max(1L, args.GetInt("cloud-threads", 1)));
   config.setup_threads =
       static_cast<size_t>(std::max(1L, args.GetInt("setup-threads", 1)));
   config.cloud.query_deadline_ms =
