@@ -1,14 +1,12 @@
 #include "cloud/data_owner.h"
 
-#include <condition_variable>
-#include <mutex>
+#include <string>
+#include <utility>
 
 #include "cloud/cluster.h"
 #include "kauto/outsourced_graph.h"
-#include "match/result_join.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace ppsm {
@@ -28,7 +26,6 @@ struct OwnerMetrics {
   MetricsRegistry::Histogram kauto_ms;
   MetricsRegistry::Histogram go_ms;
   MetricsRegistry::Histogram setup_total_ms;
-  MetricsRegistry::Histogram expand_ms;
   MetricsRegistry::Histogram filter_ms;
   MetricsRegistry::Histogram client_total_ms;
   MetricsRegistry::Gauge upload_bytes;
@@ -45,7 +42,7 @@ struct OwnerMetrics {
       metrics.responses = r.counter("ppsm_client_responses_total",
                                     "Cloud responses post-processed");
       metrics.candidates = r.counter("ppsm_client_candidates_total",
-                                     "|R(Qo,Gk)| rows examined (Alg. 3)");
+                                     "Images of Rin rows examined (Alg. 3)");
       metrics.results =
           r.counter("ppsm_client_results_total", "Exact |R(Q,G)| rows kept");
       metrics.lct_ms = r.histogram("ppsm_setup_lct_ms",
@@ -63,9 +60,6 @@ struct OwnerMetrics {
       metrics.setup_total_ms =
           r.histogram("ppsm_setup_total_ms", DefaultLatencyBucketsMs(),
                       "Offline pipeline end-to-end time");
-      metrics.expand_ms = r.histogram("ppsm_client_expand_ms",
-                                      DefaultLatencyBucketsMs(),
-                                      "Automorphic expansion time (Alg. 3)");
       metrics.filter_ms =
           r.histogram("ppsm_client_filter_ms", DefaultLatencyBucketsMs(),
                       "False-positive elimination time (Alg. 3)");
@@ -154,11 +148,11 @@ Result<DataOwner> DataOwner::Create(AttributedGraph graph,
   owner.setup_stats_.noise_vertices = owner.kag_.NumNoiseVertices();
   owner.setup_stats_.noise_edges = owner.kag_.NumNoiseEdges();
 
-  // Upload package and client-side filter index.
+  // Upload package.
   phase_timer.Restart();
   {
     PPSM_TRACE_SPAN_CAT("setup.upload_build", "setup");
-    PPSM_RETURN_IF_ERROR(owner.BuildUploadAndIndex(threads));
+    PPSM_RETURN_IF_ERROR(owner.BuildUpload(threads));
   }
   owner.setup_stats_.go_ms = phase_timer.ElapsedMillis();
   owner.setup_stats_.total_ms = total_timer.ElapsedMillis();
@@ -209,84 +203,34 @@ Result<DataOwner> DataOwner::Restore(AttributedGraph graph,
   owner.setup_stats_.gk_edges = owner.kag_.gk.NumEdges();
   owner.setup_stats_.noise_vertices = owner.kag_.NumNoiseVertices();
   owner.setup_stats_.noise_edges = owner.kag_.NumNoiseEdges();
-  PPSM_RETURN_IF_ERROR(owner.BuildUploadAndIndex(/*num_threads=*/1));
+  PPSM_RETURN_IF_ERROR(owner.BuildUpload(/*num_threads=*/1));
   return owner;
 }
 
-Status DataOwner::BuildUploadAndIndex(size_t num_threads) {
-  // The upload package and the client-side edge filter read disjoint state
-  // (kag_/lct_ vs graph_) and are built concurrently; upload_bytes_ itself
-  // never depends on the thread count.
-  Status package_status = Status::OK();
-  const auto build_package = [&] {
-    PPSM_TRACE_SPAN_CAT("setup.upload_package", "setup");
-    UploadPackage package;
-    package.k = kag_.avt.k();
-    package.num_types = static_cast<uint32_t>(schema_->NumTypes());
-    package.type_of_group.reserve(lct_.NumGroups());
-    for (GroupId g = 0; g < lct_.NumGroups(); ++g) {
-      package.type_of_group.push_back(lct_.TypeOfGroup(g));
-    }
-    if (baseline_) {
-      package.full_gk = kag_.gk;
-      setup_stats_.go_vertices = kag_.gk.NumVertices();
-      setup_stats_.go_edges = kag_.gk.NumEdges();
-    } else {
-      auto go_or = BuildOutsourcedGraph(kag_, num_threads, go_hops_);
-      if (!go_or.ok()) {
-        package_status = go_or.status();
-        return;
-      }
-      OutsourcedGraph go = std::move(go_or).value();
-      setup_stats_.go_vertices = go.graph.NumVertices();
-      setup_stats_.go_edges = go.graph.NumEdges();
-      package.go = std::move(go);
-      package.avt = kag_.avt;
-    }
-    upload_bytes_ = package.Serialize();
-    setup_stats_.upload_bytes = upload_bytes_.size();
-  };
-  const auto build_index = [&] {
-    // The client-side O(1) edge filter (§4.2.2).
-    PPSM_TRACE_SPAN_CAT("setup.edge_index", "setup");
-    edge_keys_.clear();
-    edge_keys_.reserve(graph_.NumEdges() * 2);
-    graph_.ForEachEdge([this](VertexId u, VertexId v) {
-      edge_keys_.insert(UndirectedEdgeKey(u, v));
-    });
-  };
-  if (num_threads > 1 && !ThreadPool::InWorkerThread()) {
-    // The index goes to the pool; the package stays on this thread so the
-    // nested Go-extraction ParallelFor is not demoted to a worker (where it
-    // would degrade to a serial loop).
-    std::mutex mu;
-    std::condition_variable cv;
-    bool index_done = false;
-    ThreadPool& pool = ThreadPool::Shared();
-    pool.Submit([&] {
-      build_index();
-      // Notify under the lock: cv lives on the caller's stack, and the
-      // caller may destroy it the moment it can observe index_done.
-      std::lock_guard<std::mutex> lock(mu);
-      index_done = true;
-      cv.notify_one();
-    });
-    build_package();
-    while (true) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (index_done) break;
-      }
-      if (pool.TryRunPendingTask()) continue;
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return index_done; });
-      break;
-    }
-  } else {
-    build_package();
-    build_index();
+Status DataOwner::BuildUpload(size_t num_threads) {
+  PPSM_TRACE_SPAN_CAT("setup.upload_package", "setup");
+  UploadPackage package;
+  package.k = kag_.avt.k();
+  package.num_types = static_cast<uint32_t>(schema_->NumTypes());
+  package.type_of_group.reserve(lct_.NumGroups());
+  for (GroupId g = 0; g < lct_.NumGroups(); ++g) {
+    package.type_of_group.push_back(lct_.TypeOfGroup(g));
   }
-  return package_status;
+  if (baseline_) {
+    package.full_gk = kag_.gk;
+    setup_stats_.go_vertices = kag_.gk.NumVertices();
+    setup_stats_.go_edges = kag_.gk.NumEdges();
+  } else {
+    PPSM_ASSIGN_OR_RETURN(OutsourcedGraph go,
+                          BuildOutsourcedGraph(kag_, num_threads, go_hops_));
+    setup_stats_.go_vertices = go.graph.NumVertices();
+    setup_stats_.go_edges = go.graph.NumEdges();
+    package.go = std::move(go);
+    package.avt = kag_.avt;
+  }
+  upload_bytes_ = package.Serialize();
+  setup_stats_.upload_bytes = upload_bytes_.size();
+  return Status::OK();
 }
 
 Result<ShardingPlan> DataOwner::BuildShardUploads(uint32_t num_shards,
@@ -324,61 +268,67 @@ Result<MatchSet> DataOwner::ProcessResponse(
         "response arity disagrees with the query");
   }
 
-  // Lines 1-5: R(Qo,Gk) = Rin ∪ F_1(Rin) ∪ ... ∪ F_{k-1}(Rin). The baseline
-  // response is R(Qo,Gk) already.
-  WallTimer phase_timer;
-  MatchSet candidates = [&] {
-    PPSM_TRACE_SPAN_CAT("client.expand", "query");
-    return baseline_ ? rin : ExpandByAutomorphisms(rin, kag_.avt);
-  }();
-  const double expand_ms = phase_timer.ElapsedMillis();
-
-  // Lines 6-23: drop matches with vertices/edges missing from G or labels
-  // that do not satisfy the original query.
-  phase_timer.Restart();
+  // Lines 1-23 fused: each Rin row is mapped through F_0..F_{k-1} (the
+  // baseline response is R(Qo,Gk) already, so F_0 only) and every image is
+  // tested against G where it stands, so the k-fold expansion is never
+  // materialized. Cheap per-column rejections (noise id, type/label
+  // mismatch) run first, then injectivity, then Q's edges on G's CSR.
+  WallTimer filter_timer;
   PPSM_TRACE_SPAN_CAT("client.filter", "query");
-  MatchSet results(query.NumVertices());
+  const Avt& avt = kag_.avt;
+  const uint32_t num_images = baseline_ ? 1 : avt.k();
   const size_t original_vertices = kag_.num_original_vertices;
-  for (size_t r = 0; r < candidates.NumMatches(); ++r) {
-    const auto match = candidates.Get(r);
-    bool keep = !MatchSet::HasDuplicateVertices(match);
-    for (size_t q = 0; keep && q < match.size(); ++q) {
-      const VertexId v = match[q];
-      if (v >= original_vertices) {
-        keep = false;  // Noise vertex (or id outside G).
-        break;
+  const size_t arity = query.NumVertices();
+  std::vector<std::pair<VertexId, VertexId>> query_edges;
+  query_edges.reserve(query.NumEdges());
+  query.ForEachEdge(
+      [&](VertexId a, VertexId b) { query_edges.emplace_back(a, b); });
+  std::vector<VertexId> image(arity);
+  const auto image_matches = [&](std::span<const VertexId> row, uint32_t m) {
+    for (size_t q = 0; q < arity; ++q) {
+      const VertexId v = avt.Apply(row[q], m);
+      const auto qv = static_cast<VertexId>(q);
+      if (v >= original_vertices ||  // Noise vertex.
+          !graph_.TypesContainAll(v, query.Types(qv)) ||
+          !graph_.LabelsContainAll(v, query.Labels(qv))) {
+        return false;
       }
-      if (!graph_.TypesContainAll(v, query.Types(static_cast<VertexId>(q))) ||
-          !graph_.LabelsContainAll(v,
-                                   query.Labels(static_cast<VertexId>(q)))) {
-        keep = false;
+      image[q] = v;
+    }
+    if (MatchSet::HasDuplicateVertices(image)) return false;
+    for (const auto& [a, b] : query_edges) {
+      if (!graph_.HasEdge(image[a], image[b])) return false;
+    }
+    return true;
+  };
+  MatchSet results(arity);
+  for (size_t r = 0; r < rin.NumMatches(); ++r) {
+    const auto row = rin.Get(r);
+    for (const VertexId v : row) {
+      if (!avt.Contains(v)) {
+        return Status::InvalidArgument("response names vertex " +
+                                       std::to_string(v) + " outside Gk");
       }
     }
-    if (keep) {
-      query.ForEachEdge([&](VertexId a, VertexId b) {
-        if (keep &&
-            !edge_keys_.contains(UndirectedEdgeKey(match[a], match[b]))) {
-          keep = false;
-        }
-      });
+    for (uint32_t m = 0; m < num_images; ++m) {
+      if (image_matches(row, m)) results.Append(image);
     }
-    if (keep) results.Append(match);
   }
+  // Images of distinct rows can coincide (automorphic twins in Rin).
   results.SortDedup();
 
-  const double filter_ms = phase_timer.ElapsedMillis();
+  const double filter_ms = filter_timer.ElapsedMillis();
   const double total_ms = total_timer.ElapsedMillis();
+  const size_t candidates = rin.NumMatches() * num_images;
   const OwnerMetrics& metrics = OwnerMetrics::Get();
-  metrics.expand_ms.Observe(expand_ms);
   metrics.filter_ms.Observe(filter_ms);
   metrics.client_total_ms.Observe(total_ms);
-  metrics.candidates.Increment(candidates.NumMatches());
+  metrics.candidates.Increment(candidates);
   metrics.results.Increment(results.NumMatches());
   metrics.responses.Increment();
   if (stats != nullptr) {
-    stats->expand_ms = expand_ms;
     stats->filter_ms = filter_ms;
-    stats->candidates = candidates.NumMatches();
+    stats->candidates = candidates;
     stats->results = results.NumMatches();
     stats->total_ms = total_ms;
   }

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "anonymize/grouping.h"
@@ -12,7 +11,6 @@
 #include "graph/attributed_graph.h"
 #include "kauto/kautomorphism.h"
 #include "match/match_set.h"
-#include "util/hash.h"
 #include "util/status.h"
 
 namespace ppsm {
@@ -71,8 +69,7 @@ class DataOwner {
   /// Rebuilds an owner from previously persisted artifacts (see
   /// cloud/owner_store.h) without re-running the anonymization pipeline.
   /// Validates the pieces against each other and re-derives the outsourced
-  /// graph, upload package and client-side hash index (all deterministic
-  /// functions of the inputs). Timing fields of setup_stats() stay zero.
+  /// graph and upload package (deterministic functions of the inputs). Timing fields of setup_stats() stay zero.
   static Result<DataOwner> Restore(AttributedGraph graph,
                                    std::shared_ptr<const Schema> schema,
                                    Lct lct, KAutomorphicGraph kag,
@@ -99,17 +96,21 @@ class DataOwner {
       const AttributedGraph& query) const;
 
   struct ClientStats {
-    double expand_ms = 0.0;  // Rout computation (skipped for baseline).
-    double filter_ms = 0.0;  // False-positive elimination against G.
+    double filter_ms = 0.0;  // The fused image loop plus the final sort.
     double total_ms = 0.0;
-    size_t candidates = 0;  // |R(Qo,Gk)| examined.
+    size_t candidates = 0;  // Images of Rin rows examined: k·|Rin| (|Rin|
+                            // for the baseline upload).
     size_t results = 0;     // |R(Q,G)|.
   };
 
-  /// Algorithm 3: expands Rin with the automorphic functions (unless the
-  /// upload was the baseline, whose response is already R(Qo,Gk)), then
-  /// filters matches whose vertices, edges or labels do not exist in G.
-  /// `query` must be the original (un-anonymized) Q the response answers.
+  /// Algorithm 3, fused: every Rin row is mapped through F_0..F_{k-1} (only
+  /// F_0 for the baseline upload, whose response is R(Qo,Gk) already) and
+  /// each image is tested against G in place — noise ids and type/label
+  /// mismatches column by column, then injectivity, then Q's edges on G's
+  /// CSR adjacency. `query` must be the original (un-anonymized) Q the
+  /// response answers. The result is R(Q,G) with rows sorted
+  /// lexicographically and distinct. A Rin id outside Gk is
+  /// InvalidArgument.
   Result<MatchSet> ProcessResponse(const AttributedGraph& query,
                                    std::span<const uint8_t> response_payload,
                                    ClientStats* stats = nullptr) const;
@@ -126,9 +127,8 @@ class DataOwner {
   DataOwner() = default;
 
   /// Shared tail of Create/Restore: builds the upload package from the
-  /// already-populated members and the client-side edge index. The two are
-  /// independent and run concurrently when `num_threads` > 1.
-  Status BuildUploadAndIndex(size_t num_threads);
+  /// already-populated members; `num_threads` drives Go extraction.
+  Status BuildUpload(size_t num_threads);
 
   AttributedGraph graph_;
   std::shared_ptr<const Schema> schema_;
@@ -138,8 +138,6 @@ class DataOwner {
   uint32_t go_hops_ = 1;
   std::vector<uint8_t> upload_bytes_;
   SetupStats setup_stats_;
-  /// O(1) edge-existence filter over E(G) (§4.2.2's hash index).
-  std::unordered_set<uint64_t, EdgeKeyHash> edge_keys_;
 };
 
 }  // namespace ppsm

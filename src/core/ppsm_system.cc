@@ -214,11 +214,7 @@ QueryResponse PpsmSystem::ExecuteImpl(const QueryRequest& request) const {
     return response;
   }
   response.matches = std::move(results).value();
-  if (request.options.sorted_matches) {
-    response.matches.SortDedup();
-  }
   response.client_ms = client.total_ms;
-  response.client_expand_ms = client.expand_ms;
   response.client_filter_ms = client.filter_ms;
   response.client_candidates = client.candidates;
   response.total_ms =

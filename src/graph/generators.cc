@@ -183,7 +183,9 @@ Result<AttributedGraph> GenerateUniformRandomGraph(size_t num_vertices,
   PPSM_CHECK_OK(attr);
   std::vector<LabelId> universe;
   for (size_t l = 0; l < std::max<size_t>(1, num_labels); ++l) {
-    const auto label = schema->AddLabel(attr.value(), "l" + std::to_string(l));
+    std::string name = "l";
+    name += std::to_string(l);
+    const auto label = schema->AddLabel(attr.value(), name);
     PPSM_CHECK_OK(label);
     universe.push_back(label.value());
   }

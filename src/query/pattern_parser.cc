@@ -357,13 +357,17 @@ Result<ParsedPattern> ParsePattern(const std::string& text,
 std::string FormatPattern(const AttributedGraph& query, const Schema& schema,
                           const std::vector<std::string>& variables) {
   auto var = [&variables](VertexId v) {
-    return v < variables.size() ? variables[v]
-                                : "v" + std::to_string(v);
+    if (v < variables.size()) return variables[v];
+    std::string name = "v";
+    name += std::to_string(v);
+    return name;
   };
   std::string out;
   for (VertexId v = 0; v < query.NumVertices(); ++v) {
-    out += "(" + var(v) + ":" +
-           MaybeQuote(schema.TypeName(query.PrimaryType(v)));
+    out += '(';
+    out += var(v);
+    out += ':';
+    out += MaybeQuote(schema.TypeName(query.PrimaryType(v)));
     const auto labels = query.Labels(v);
     if (!labels.empty()) {
       out += " {";

@@ -22,23 +22,12 @@ namespace ppsm {
 /// end and the CLI.
 /// ---------------------------------------------------------------------------
 
-/// Per-request evaluation knobs (the request-scoped complement of the
-/// deployment-scoped CloudConfig).
-struct QueryOptions {
-  /// Sort the final exact matches lexicographically before returning them.
-  /// Presentation only — the result set is distinct either way — and off by
-  /// default because sorting |R(Q,G)| rows costs real time on high-fanout
-  /// queries.
-  bool sorted_matches = false;
-};
-
 /// One subgraph query as the user poses it: the pattern graph (original
-/// labels — anonymization to Qo happens inside the owner), optional
-/// request-scoped options, a per-request deadline and a caller tag that is
-/// echoed back on the response (workload bookkeeping in batch replays).
+/// labels — anonymization to Qo happens inside the owner), a per-request
+/// deadline and a caller tag that is echoed back on the response (workload
+/// bookkeeping in batch replays).
 struct QueryRequest {
   AttributedGraph pattern;
-  QueryOptions options;
   /// Per-request wall-clock budget in milliseconds, measured from admission.
   /// 0 defers to the service-wide CloudConfig::query_deadline_ms.
   uint64_t deadline_ms = 0;
@@ -98,8 +87,8 @@ struct CloudQueryStats {
 };
 
 /// Everything the caller gets back for one QueryRequest: the exact matches
-/// R(Q,G), the cloud's per-phase stats, the simulated network/client costs,
-/// and the typed status. Failed queries still carry the stats of the phases
+/// R(Q,G) (rows sorted and distinct), the cloud's per-phase stats, the
+/// simulated network/client costs, and the typed status. Failed queries still carry the stats of the phases
 /// that ran (`matches` is then empty) — check ok() before using results.
 struct QueryResponse {
   Status status;  // Default-constructed = OK.
@@ -107,9 +96,8 @@ struct QueryResponse {
   CloudQueryStats cloud;
   double network_ms = 0.0;  // Simulated request + response transfer.
   double client_ms = 0.0;   // Algorithm 3 post-processing, total.
-  double client_expand_ms = 0.0;  // Rout expansion share of client_ms.
-  double client_filter_ms = 0.0;  // False-positive filter share.
-  size_t client_candidates = 0;   // |R(Qo,Gk)| the client examined.
+  double client_filter_ms = 0.0;  // Fused image loop + final sort share.
+  size_t client_candidates = 0;   // Images of Rin rows the client examined.
   double total_ms = 0.0;          // cloud + network + client.
   size_t request_bytes = 0;
   size_t response_bytes = 0;
@@ -130,8 +118,8 @@ CloudQueryStats FromQueryProfile(const QueryProfile& profile);
 /// ---------------------------------------------------------------------------
 /// Wire codecs for the request/response pair. These are the payloads the
 /// socket front end (src/net) frames onto real connections: a QueryRequest
-/// travels client -> server as the serialized pattern plus the request
-/// knobs, a QueryResponse travels back as the match rows plus the stats
+/// travels client -> server as the serialized pattern plus its deadline and
+/// tag, a QueryResponse travels back as the match rows plus the stats
 /// block. Deterministic for the deterministic fields: two responses with
 /// equal matches/status/tag encode their match payloads byte-identically
 /// (timing fields are per-run by nature). LEB128/little-endian through

@@ -10,6 +10,8 @@
 #include "cloud/data_owner.h"
 #include "cloud/messages.h"
 #include "graph/example_graphs.h"
+#include "graph/generators.h"
+#include "graph/query_extractor.h"
 #include "graph/serialize.h"
 #include "kauto/avt.h"
 #include "match/match_set.h"
@@ -150,6 +152,41 @@ TEST(FuzzRobustness, CloudSurvivesMalformedQueries) {
                 return server->Serve(bytes).ok();
               },
               1008);
+}
+
+TEST(FuzzRobustness, OwnerSurvivesMalformedRin) {
+  // The owner decodes the cloud's reply and runs Algorithm 3 on it: mutated
+  // Rin payloads (ids outside Gk included) must give a typed error or a
+  // valid answer, never a crash.
+  const auto g = GenerateDataset(DbpediaLike(0.01));
+  ASSERT_TRUE(g.ok());
+  DataOwnerOptions options;
+  options.k = 3;
+  auto owner = DataOwner::Create(*g, g->schema(), options);
+  ASSERT_TRUE(owner.ok());
+  auto server = CloudServer::Host(owner->upload_bytes());
+  ASSERT_TRUE(server.ok());
+  Rng rng(1009);
+  const auto extracted = ExtractQuery(*g, 2, rng);
+  ASSERT_TRUE(extracted.ok());
+  const AttributedGraph& query = extracted->query;
+  auto request = owner->AnonymizeQueryToRequest(query);
+  ASSERT_TRUE(request.ok());
+  auto answer = server->Serve(*request);
+  ASSERT_TRUE(answer.ok());
+  ASSERT_GT(answer->response_payload.size(), 16u);
+  FuzzDecoder(answer->response_payload,
+              [&](std::span<const uint8_t> bytes) {
+                const auto results = owner->ProcessResponse(query, bytes);
+                if (!results.ok()) {
+                  const StatusCode code = results.status().code();
+                  EXPECT_TRUE(code == StatusCode::kInvalidArgument ||
+                              code == StatusCode::kOutOfRange)
+                      << results.status();
+                }
+                return results.ok();
+              },
+              1010);
 }
 
 }  // namespace

@@ -69,7 +69,7 @@ TEST(ObservabilityE2e, SetupAndQueryEmitExpectedSpanTree) {
         "setup.upload_build", "setup.cloud_host", "cloud.index_build", "query",
         "query.anonymize", "cloud.answer_query", "cloud.decompose",
         "cloud.star_match", "cloud.unit_match.unit", "cloud.join",
-        "client.process_response", "client.expand", "client.filter"}) {
+        "client.process_response", "client.filter"}) {
     EXPECT_NE(FindSpan(events, name), nullptr) << "missing span " << name;
   }
   // The channel emitted transfer instants (upload, request, response).
